@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment of the paper (see DESIGN.md,
-Section 5) at the quick scale, so that ``pytest benchmarks/ --benchmark-only``
-reproduces every table/claim in minutes.  The experiment result is attached
+Every benchmark regenerates one experiment of the paper (the registry in
+``repro.experiments``, ``python -m repro list``) at the quick scale, so that
+``pytest benchmarks/ --benchmark-only`` reproduces every table/claim in
+minutes.  The experiment result is attached
 to the benchmark's ``extra_info`` so the JSON export contains the measured
 rows alongside the timings.
 """
@@ -33,7 +34,11 @@ def run_experiment_benchmark(benchmark, runner: Callable[[], ExperimentResult]
 
 def pytest_sessionfinish(session, exitstatus):
     """Dump the measured guard numbers to the committed BENCH_<pr>.json
-    (see record.py; empty sessions write nothing)."""
+    (see record.py) when the session exports ``--benchmark-json``: a plain
+    test run leaves the working tree clean, and empty sessions write
+    nothing."""
+    if session.config.getoption("benchmark_json", None) is None:
+        return
     from record import write_benchmark_record
 
     path = write_benchmark_record(session)

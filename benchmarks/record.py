@@ -4,20 +4,25 @@ The acceptance guards in this directory (engine speedups, round-budget
 ceilings, million-player wall-clock budgets) assert against thresholds, but
 the *measured* numbers themselves are worth keeping: they are the
 performance record of each PR.  The ``pytest_sessionfinish`` hook in
-``conftest.py`` calls :func:`write_benchmark_record` after every benchmark
-session, dumping one JSON document per PR — ``BENCH_10.json`` for this one —
-at the repository root, which is committed alongside the code.
+``conftest.py`` calls :func:`write_benchmark_record` after a benchmark
+session run with ``--benchmark-json``, dumping one JSON document per PR —
+``BENCH_10.json`` for this one — at the repository root, which is committed
+alongside the code.  A plain test run writes nothing.
 
 The document carries, per benchmark: the timing statistics
 (mean/min/max/stddev/rounds) and the benchmark's ``extra_info`` (speedup
-factors, row counts, experiment notes), plus an environment stanza (numpy
-version, numba availability) so a number can be read in context later.
+factors, row counts, experiment notes), plus an environment stanza (Python,
+numpy and numba versions, CPU count, machine and git revision) so a number
+can be read in context later and told apart from one measured on another
+host.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
+import subprocess
 from pathlib import Path
 from typing import Any
 
@@ -26,6 +31,17 @@ PR_NUMBER = 10
 
 #: Written at the repository root (the parent of ``benchmarks/``).
 RECORD_PATH = Path(__file__).resolve().parent.parent / f"BENCH_{PR_NUMBER}.json"
+
+
+def _git_revision() -> str | None:
+    """The checkout's ``HEAD`` commit, or ``None`` outside a git checkout."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=RECORD_PATH.parent,
+            capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip() or None
 
 
 def _environment() -> dict[str, Any]:
@@ -37,6 +53,9 @@ def _environment() -> dict[str, Any]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         **engine_runtime_info(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "git_rev": _git_revision(),
     }
 
 

@@ -49,8 +49,7 @@ def run_epsilon_greedy_baseline(
     gen = ensure_rng(rng)
 
     for step_index in range(max_steps):
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
+        latencies, post = game.migration_latencies(counts)
         admissible = latencies[:, np.newaxis] > (1.0 + epsilon) * post
         occupied = counts > 0
         admissible &= occupied[:, np.newaxis]

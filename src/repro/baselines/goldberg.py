@@ -60,8 +60,7 @@ def run_goldberg_baseline(
         destination = int(gen.integers(0, num_strategies))
         if destination == origin:
             continue
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
+        latencies, post = game.migration_latencies(counts)
         gain = float(latencies[origin] - post[origin, destination])
         if gain > min_gain:
             counts[origin] -= 1

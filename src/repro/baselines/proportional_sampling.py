@@ -28,10 +28,9 @@ class ProportionalImitationProtocol(UndampedImitationProtocol):
     """Alias of :class:`~repro.core.imitation.UndampedImitationProtocol`.
 
     Kept as a distinct name so experiment tables can talk about the baseline
-    without referencing the internals of the core package.  The vectorised
-    :meth:`~repro.core.protocols.Protocol.switch_probabilities_batch` comes
-    with the inheritance (only the elasticity damping differs), so the
-    baseline runs under the ensemble engine at full speed.
+    without referencing the internals of the core package.  Its rule, the
+    inherited :meth:`~repro.core.imitation.ImitationProtocol.kernel_components`
+    with damping 1, runs on every engine like the paper's protocols.
     """
 
     name = "proportional-imitation"

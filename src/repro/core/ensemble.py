@@ -288,8 +288,7 @@ def batch_stop_at_imitation_stable(nu: Optional[float] = None) -> BatchStopCondi
 
     def batched(game: CongestionGame, counts: np.ndarray, round_index: int) -> np.ndarray:
         bound = game.nu_bound if nu is None else nu
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
+        latencies, post = game.migration_latencies_batch(counts)
         gains = latencies[:, :, np.newaxis] - post  # (R, S, S)
         occupied = counts > 0
         mask = occupied[:, :, np.newaxis] & occupied[:, np.newaxis, :]
@@ -308,8 +307,7 @@ def batch_stop_at_nash(tolerance: float = 1e-9) -> BatchStopCondition:
     improving destination (up to ``tolerance``)."""
 
     def batched(game: CongestionGame, counts: np.ndarray, round_index: int) -> np.ndarray:
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
+        latencies, post = game.migration_latencies_batch(counts)
         gains = latencies[:, :, np.newaxis] - post  # (R, S, S)
         diag = np.arange(counts.shape[1])
         gains[:, diag, diag] = -np.inf

@@ -17,6 +17,10 @@ empty, the elasticity damping of the imitation protocol no longer controls
 the expected inflow and the much stronger ``|P| l_min / (beta n)`` damping is
 needed (Theorem 15: convergence to an exact Nash equilibrium, at the price of
 a much larger convergence time).
+
+:meth:`ExplorationProtocol.kernel_components` states this rule as one
+uniform-sampling component; every engine evaluates it through
+:func:`~repro.core.protocols.component_switch_probabilities`.
 """
 
 from __future__ import annotations
@@ -27,16 +31,8 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..games.base import CongestionGame
-from ..games.state import BatchStateLike, StateLike
 from .imitation import DEFAULT_LAMBDA
-from .protocols import (
-    KernelComponents,
-    Protocol,
-    SwitchProbabilities,
-    relative_gain_matrix,
-    relative_gain_matrix_batch,
-    zero_diagonal,
-)
+from .protocols import KernelComponents, Protocol
 
 __all__ = ["ExplorationProtocol"]
 
@@ -90,50 +86,6 @@ class ExplorationProtocol(Protocol):
             # latencies): any migration probability is safe, use lambda.
             return self.lambda_
         return self.lambda_ * game.num_strategies * lmin / (beta * game.num_players)
-
-    def migration_probabilities(self, game: CongestionGame, state: StateLike) -> np.ndarray:
-        """The matrix ``mu_PQ`` (conditional on sampling strategy ``Q``)."""
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        relative = relative_gain_matrix(latencies, post)
-        eligible = gains > self.min_gain
-        mu = np.where(eligible, self.damping_factor(game) * relative, 0.0)
-        np.fill_diagonal(mu, 0.0)
-        return np.clip(mu, 0.0, 1.0)
-
-    def switch_probabilities(self, game: CongestionGame, state: StateLike
-                             ) -> SwitchProbabilities:
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        mu = self.migration_probabilities(game, counts)
-        matrix = mu / game.num_strategies  # uniform strategy sampling
-        np.fill_diagonal(matrix, 0.0)
-        return SwitchProbabilities(matrix=matrix, gains=gains)
-
-    # ------------------------------------------------------------------
-    # Batched evaluation (ensemble engine)
-    # ------------------------------------------------------------------
-    def migration_probabilities_batch(self, game: CongestionGame,
-                                      batch: BatchStateLike) -> np.ndarray:
-        """Batched ``mu_PQ`` matrices, shape ``(R, S, S)``."""
-        counts = game.validate_batch_state(batch)
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
-        gains = latencies[:, :, np.newaxis] - post
-        relative = relative_gain_matrix_batch(latencies, post)
-        mu = np.where(gains > self.min_gain, self.damping_factor(game) * relative, 0.0)
-        zero_diagonal(mu)
-        return np.clip(mu, 0.0, 1.0)
-
-    def switch_probabilities_batch(self, game: CongestionGame,
-                                   batch: BatchStateLike) -> np.ndarray:
-        counts = game.validate_batch_state(batch)
-        matrices = self.migration_probabilities_batch(game, counts) / game.num_strategies
-        return zero_diagonal(matrices)
 
     def kernel_components(self, game: CongestionGame) -> KernelComponents:
         """One uniform-strategy-sampling component with the exploration

@@ -10,21 +10,23 @@ strategy can be permanently lost.
 The mixture is expressed at the level of switch probabilities: if in every
 round a player follows protocol ``k`` with probability ``w_k`` (independent
 of the state and of the other players), the resulting switch-probability
-matrix is simply the ``w``-weighted average of the component matrices.
+matrix is simply the ``w``-weighted average of the component matrices.  So a
+mixture's rule is the concatenation of its components'
+:class:`~repro.core.protocols.KernelComponents` with the weights folded in,
+and it is evaluated like every other protocol's.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ProtocolError
 from ..games.base import CongestionGame
-from ..games.state import BatchStateLike, StateLike
 from .exploration import ExplorationProtocol
 from .imitation import DEFAULT_LAMBDA, ImitationProtocol
-from .protocols import KernelComponents, Protocol, SwitchProbabilities
+from .protocols import KernelComponents, Protocol
 
 __all__ = ["MixtureProtocol", "make_hybrid_protocol"]
 
@@ -35,7 +37,9 @@ class MixtureProtocol(Protocol):
     Parameters
     ----------
     components:
-        The protocols being mixed.
+        The protocols being mixed.  Each must state its rule as
+        :meth:`~repro.core.protocols.Protocol.kernel_components`; a mixture
+        with a bespoke component cannot be evaluated.
     weights:
         Probability with which a player follows each component in a round;
         must be non-negative and sum to 1.
@@ -57,39 +61,10 @@ class MixtureProtocol(Protocol):
         self.components = list(components)
         self.weights = weight_array
 
-    def switch_probabilities(self, game: CongestionGame, state: StateLike
-                             ) -> SwitchProbabilities:
-        counts = game.validate_state(state)
-        matrix = np.zeros((game.num_strategies, game.num_strategies))
-        gains = None
-        for weight, component in zip(self.weights, self.components):
-            if weight == 0.0:
-                continue
-            probabilities = component.switch_probabilities(game, counts)
-            matrix += weight * probabilities.matrix
-            if gains is None:
-                gains = probabilities.gains
-        assert gains is not None
-        return SwitchProbabilities(matrix=matrix, gains=gains)
-
-    def switch_probabilities_batch(self, game: CongestionGame,
-                                   batch: BatchStateLike) -> np.ndarray:
-        """The mixture of batched switch matrices is the weighted sum of the
-        components' batched matrices (same argument as the scalar case)."""
-        counts = game.validate_batch_state(batch)
-        matrices = np.zeros(
-            (counts.shape[0], game.num_strategies, game.num_strategies)
-        )
-        for weight, component in zip(self.weights, self.components):
-            if weight == 0.0:
-                continue
-            matrices += weight * component.switch_probabilities_batch(game, counts)
-        return matrices
-
-    def kernel_components(self, game: CongestionGame):
-        """Concatenation of the components' lowered structs with the mixture
-        weights folded in; ``None`` if any (positive-weight) component has
-        no kernel form — a mixture must lower completely or not at all."""
+    def kernel_components(self, game: CongestionGame) -> Optional[KernelComponents]:
+        """Concatenation of the components' rules with the mixture weights
+        folded in; ``None`` if any (positive-weight) component is bespoke —
+        a mixture is defined by its components' rules or not at all."""
         parts = []
         for weight, component in zip(self.weights, self.components):
             if weight == 0.0:

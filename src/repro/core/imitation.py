@@ -15,6 +15,9 @@ where ``d`` is an upper bound on the elasticity of the latency functions and
 overshooting (the paper's central design point); the ``nu`` threshold guards
 against probabilistic fluctuations on almost-empty resources and can be
 dropped for large singleton games (Theorem 9 and the remark after it).
+:meth:`ImitationProtocol.kernel_components` states this rule as one
+player-sampling component; every engine evaluates it through
+:func:`~repro.core.protocols.component_switch_probabilities`.
 
 This module also provides :class:`UndampedImitationProtocol`, the strawman
 without the ``1/d`` factor that the paper argues overshoots — used by the
@@ -29,15 +32,7 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..games.base import CongestionGame
-from ..games.state import BatchStateLike, StateLike
-from .protocols import (
-    KernelComponents,
-    Protocol,
-    SwitchProbabilities,
-    relative_gain_matrix,
-    relative_gain_matrix_batch,
-    zero_diagonal,
-)
+from .protocols import KernelComponents, Protocol
 
 __all__ = ["ImitationProtocol", "UndampedImitationProtocol", "DEFAULT_LAMBDA"]
 
@@ -69,6 +64,10 @@ class ImitationProtocol(Protocol):
     """
 
     name = "imitation"
+
+    #: Virtual agents added to every strategy in the sampling step (see
+    #: :class:`~repro.core.virtual_agents.VirtualAgentImitationProtocol`).
+    virtual_agents_per_strategy: int = 0
 
     def __init__(
         self,
@@ -106,64 +105,6 @@ class ImitationProtocol(Protocol):
             return max(1.0, self.elasticity_override)
         return game.elasticity_bound
 
-    def migration_probabilities(self, game: CongestionGame, state: StateLike
-                                ) -> np.ndarray:
-        """The matrix ``mu_PQ`` (conditional on sampling ``Q``), zero where
-        the gain threshold is not met."""
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        relative = relative_gain_matrix(latencies, post)
-        nu = self.effective_nu(game)
-        d = self.effective_elasticity(game)
-        eligible = gains > nu
-        mu = np.where(eligible, (self.lambda_ / d) * relative, 0.0)
-        np.fill_diagonal(mu, 0.0)
-        return np.clip(mu, 0.0, 1.0)
-
-    def switch_probabilities(self, game: CongestionGame, state: StateLike
-                             ) -> SwitchProbabilities:
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        mu = self.migration_probabilities(game, counts)
-        sampling = counts.astype(float) / game.num_players  # P[sample strategy Q]
-        matrix = mu * sampling[np.newaxis, :]
-        np.fill_diagonal(matrix, 0.0)
-        return SwitchProbabilities(matrix=matrix, gains=gains)
-
-    # ------------------------------------------------------------------
-    # Batched evaluation (ensemble engine)
-    # ------------------------------------------------------------------
-    def migration_probabilities_batch(self, game: CongestionGame,
-                                      batch: BatchStateLike) -> np.ndarray:
-        """Batched ``mu_PQ`` matrices, shape ``(R, S, S)``."""
-        counts = game.validate_batch_state(batch)
-        latencies = game.strategy_latencies_batch(counts)
-        post = game.post_migration_latency_matrix_batch(counts)
-        gains = latencies[:, :, np.newaxis] - post
-        relative = relative_gain_matrix_batch(latencies, post)
-        nu = self.effective_nu(game)
-        d = self.effective_elasticity(game)
-        mu = np.where(gains > nu, (self.lambda_ / d) * relative, 0.0)
-        zero_diagonal(mu)
-        return np.clip(mu, 0.0, 1.0)
-
-    def sampling_distribution_batch(self, game: CongestionGame,
-                                    counts: np.ndarray) -> np.ndarray:
-        """Per-replica probability of sampling each strategy, shape ``(R, S)``."""
-        return counts.astype(float) / game.num_players
-
-    def switch_probabilities_batch(self, game: CongestionGame,
-                                   batch: BatchStateLike) -> np.ndarray:
-        counts = game.validate_batch_state(batch)
-        mu = self.migration_probabilities_batch(game, counts)
-        sampling = self.sampling_distribution_batch(game, counts)
-        matrices = mu * sampling[:, np.newaxis, :]
-        return zero_diagonal(matrices)
-
     def kernel_components(self, game: CongestionGame) -> KernelComponents:
         """One player-sampling component with the ``lambda/d`` damping and
         the effective ``nu`` threshold resolved against ``game``.
@@ -171,10 +112,10 @@ class ImitationProtocol(Protocol):
         :class:`UndampedImitationProtocol` (and the proportional-sampling
         baseline built on it) and
         :class:`~repro.core.virtual_agents.VirtualAgentImitationProtocol`
-        inherit this lowering — they only change
-        :meth:`effective_elasticity` respectively the virtual-agent count.
+        inherit this rule — they only change :meth:`effective_elasticity`
+        respectively :attr:`virtual_agents_per_strategy`.
         """
-        virtual = float(getattr(self, "virtual_agents_per_strategy", 0))
+        virtual = float(self.virtual_agents_per_strategy)
         return KernelComponents(
             weights=np.array([1.0]),
             factors=np.array([self.lambda_ / self.effective_elasticity(game)]),

@@ -48,7 +48,12 @@ from ..errors import EngineError, NativeBackendError
 from ..games.base import CongestionGame
 from ..rng import RngLike, ensure_rng
 from .dynamics import StopReason
-from .protocols import KernelComponents, Protocol
+from .protocols import (
+    KernelComponents,
+    Protocol,
+    component_switch_probabilities,
+    tie_scale,
+)
 
 try:  # numba is optional: without it the vectorised numpy fallback runs
     import numba as _numba
@@ -203,7 +208,7 @@ def _chunk_loops(counts, orig, num_active, round_start, num_rounds,
                  n_players, stop_quiescent,
                  s_indptr, s_indices, r_indptr, r_indices,
                  lat_kind, poly_coeffs, lat_table, table_row,
-                 comp_w, comp_factor, comp_thresh, comp_kind, comp_virt,
+                 comp_w, comp_factor, comp_thresh, comp_kind, comp_virt, tie,
                  stop_kind, stop_a, stop_b, stop_c,
                  rounds_out, moves_out, reason_out, final_counts, last_moves,
                  loads, lat_now, lat_plus, strat_lat, joined, ov, prob, delta):
@@ -329,7 +334,10 @@ def _chunk_loops(counts, orig, num_active, round_start, num_rounds,
                     mg = lat_plus[e] - lat_now[e]
                     for j in range(r_indptr[e], r_indptr[e + 1]):
                         ov[r_indices[j]] += mg
+                # The loop form of protocols.component_switch_probabilities
+                # (same tie floor, same component order).
                 lp = strat_lat[p]
+                floor = tie * lp
                 row_sum = 0.0
                 for q in range(S):
                     if q == p:
@@ -339,18 +347,18 @@ def _chunk_loops(counts, orig, num_active, round_start, num_rounds,
                     rel = gain / lp if lp > 0.0 else 0.0
                     pq = 0.0
                     for c in range(C):
-                        if gain > comp_thresh[c]:
+                        if gain > comp_thresh[c] + floor:
                             mu = comp_factor[c] * rel
                             if mu < 0.0:
                                 mu = 0.0
                             elif mu > 1.0:
                                 mu = 1.0
                             if comp_kind[c] == 0:
-                                samp = ((float(counts[i, q]) + comp_virt[c])
-                                        / (n_players + comp_virt[c] * S))
+                                term = mu * ((float(counts[i, q]) + comp_virt[c])
+                                             / (n_players + comp_virt[c] * S))
                             else:
-                                samp = 1.0 / S
-                            pq += comp_w[c] * mu * samp
+                                term = mu / S
+                            pq += comp_w[c] * term
                     prob[q] = pq
                     row_sum += pq
                 if row_sum <= 0.0:
@@ -501,21 +509,8 @@ def _chunk_numpy(counts, orig, num_active, round_start, num_rounds,
         row_sel = np.nonzero(~stopped[rows_a])[0]
         ra = rows_a[row_sel]
         rp = rows_p[row_sel]
-        g = gains[row_sel]
-        ol = origin_lat[row_sel, np.newaxis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(ol > 0, g / ol, dtype.type(0.0))
-        prob = np.zeros_like(g)
-        for c in range(kp.num_components):
-            mu = np.clip(kp.factors[c] * rel, 0.0, 1.0)
-            mu[g <= kp.thresholds[c]] = 0.0
-            if kp.sampling_kinds[c] == 0:
-                virt = kp.sampling_virtual[c]
-                samp = (ca[ra].astype(dtype) + dtype.type(virt)) / \
-                    dtype.type(n + virt * S)
-                prob += kp.weights[c] * mu * samp
-            else:
-                prob += (kp.weights[c] / S) * mu
+        prob = component_switch_probabilities(
+            kp, gains[row_sel], origin_lat[row_sel, np.newaxis], ca[ra], n)
         prob[np.arange(row_sel.size), rp] = 0.0
         row_sum = prob.sum(axis=1)
         has_move = row_sum > 0
@@ -683,7 +678,7 @@ def run_native_ensemble(
                 kg.res_indptr, kg.res_indices,
                 kg.lat_kind, kg.poly_coeffs, kg.lat_table, kg.table_row,
                 kp.weights, kp.factors, kp.thresholds,
-                kp.sampling_kinds, kp.sampling_virtual,
+                kp.sampling_kinds, kp.sampling_virtual, tie_scale(kg.dtype),
                 stop_kind, stop_a, stop_b, stop_c,
                 rounds_out, moves_out, reason_out, final_counts, last_moves,
                 *scratch,

@@ -106,8 +106,7 @@ def virtual_potential_gain(game: CongestionGame, state: StateLike,
     """``sum_{P,Q} Delta x_PQ * (l_Q(x + 1_Q - 1_P) - l_P(x))``."""
     counts = game.validate_state(state)
     migration = _validate_migration(game, counts, migration)
-    latencies = game.strategy_latencies(counts)
-    post = game.post_migration_latency_matrix(counts)
+    latencies, post = game.migration_latencies(counts)
     per_move_gain = post - latencies[:, np.newaxis]  # negative when improving
     return float(np.sum(migration * per_move_gain))
 
@@ -198,8 +197,7 @@ def potential_breakdown_batch(game: CongestionGame, state: StateLike,
     if np.any(migrations.sum(axis=2) > counts[np.newaxis, :]):
         raise StateError("more players leave a strategy than are present")
 
-    latencies = game.strategy_latencies(counts)
-    post = game.post_migration_latency_matrix(counts)
+    latencies, post = game.migration_latencies(counts)
     per_move_gain = post - latencies[:, np.newaxis]
     virtual = np.einsum("npq,pq->n", migrations.astype(float), per_move_gain)
 
@@ -246,8 +244,7 @@ def expected_virtual_potential_gain(game: CongestionGame, protocol: Protocol,
     """
     counts = game.validate_state(state)
     expected_moves = protocol.expected_migration(game, counts)
-    latencies = game.strategy_latencies(counts)
-    post = game.post_migration_latency_matrix(counts)
+    latencies, post = game.migration_latencies(counts)
     per_move_gain = post - latencies[:, np.newaxis]
     return float(np.sum(expected_moves * per_move_gain))
 

@@ -112,8 +112,7 @@ def run_sequential_imitation_symmetric(
     potentials = [game.potential(counts)] if record_potential else None
 
     for step_index in range(max_steps):
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
+        latencies, post = game.migration_latencies(counts)
         gains = latencies[:, np.newaxis] - post
         occupied = counts > 0
         eligible = occupied[:, np.newaxis] & occupied[np.newaxis, :]

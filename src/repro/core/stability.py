@@ -123,8 +123,7 @@ def max_imitation_gain(game: CongestionGame, state: StateLike) -> float:
     such improvement exists.
     """
     counts = game.validate_state(state)
-    latencies = game.strategy_latencies(counts)
-    post = game.post_migration_latency_matrix(counts)
+    latencies, post = game.migration_latencies(counts)
     gains = latencies[:, np.newaxis] - post
     occupied = counts > 0
     mask = occupied[:, np.newaxis] & occupied[np.newaxis, :]

@@ -22,12 +22,7 @@ hybrid.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..games.base import CongestionGame
-from ..games.state import StateLike
 from .imitation import DEFAULT_LAMBDA, ImitationProtocol
-from .protocols import SwitchProbabilities
 
 __all__ = ["VirtualAgentImitationProtocol"]
 
@@ -65,32 +60,6 @@ class VirtualAgentImitationProtocol(ImitationProtocol):
         if virtual_agents_per_strategy < 1:
             raise ValueError("need at least one virtual agent per strategy")
         self.virtual_agents_per_strategy = int(virtual_agents_per_strategy)
-
-    def sampling_distribution(self, game: CongestionGame, counts: np.ndarray) -> np.ndarray:
-        """Probability of sampling each strategy (virtual agents included)."""
-        virtual = float(self.virtual_agents_per_strategy)
-        weights = counts.astype(float) + virtual
-        return weights / weights.sum()
-
-    def sampling_distribution_batch(self, game: CongestionGame,
-                                    counts: np.ndarray) -> np.ndarray:
-        """Per-replica sampling distribution with the virtual agents included
-        (keeps the inherited batched switch computation correct)."""
-        virtual = float(self.virtual_agents_per_strategy)
-        weights = counts.astype(float) + virtual
-        return weights / weights.sum(axis=1, keepdims=True)
-
-    def switch_probabilities(self, game: CongestionGame, state: StateLike
-                             ) -> SwitchProbabilities:
-        counts = game.validate_state(state)
-        latencies = game.strategy_latencies(counts)
-        post = game.post_migration_latency_matrix(counts)
-        gains = latencies[:, np.newaxis] - post
-        mu = self.migration_probabilities(game, counts)
-        sampling = self.sampling_distribution(game, counts)
-        matrix = mu * sampling[np.newaxis, :]
-        np.fill_diagonal(matrix, 0.0)
-        return SwitchProbabilities(matrix=matrix, gains=gains)
 
     def describe(self) -> str:
         return (f"imitation-virtual-agents(lambda={self.lambda_:g}, "

@@ -1,9 +1,9 @@
 """Experiment suite regenerating every quantitative claim of the paper.
 
-See ``DESIGN.md`` (Section 5) for the experiment index and ``EXPERIMENTS.md``
-for the paper-versus-measured record.  Experiments are registered under short
-identifiers (E1..E10, F1) and run through :func:`run_experiment` /
-:func:`run_all`.
+``python -m repro list`` prints the experiment index, and the engine
+coverage matrix of ``docs/ENGINE.md`` lists each experiment's engines.
+Experiments are registered under short identifiers (E1..E14, F1) and run
+through :func:`run_experiment` / :func:`run_all`.
 """
 
 from .registry import (

@@ -13,7 +13,7 @@ fixed instance,
   lambda = more concurrency error; Lemma 2's 1/2 bound is the reference
   line).
 
-The design-choice conclusion documented in DESIGN.md: moderate values
+The design-choice conclusion: moderate values
 (``lambda ~ 0.25``) converge an order of magnitude faster than the proof-safe
 constants while keeping the error ratio well below 1/2, which is why the
 library defaults to 0.25.

@@ -152,8 +152,7 @@ def run_sequential_lower_bound_experiment(
         "substitution: the measurement is performed on (lifted) quadratic threshold games — "
         "the PLS-hard core of the construction — built from the worst of a pool of random "
         "weight matrices rather than from the hand-crafted exponential instances of [1]; "
-        "random instances of these sizes show super-linear (not yet exponential) growth; "
-        "see DESIGN.md"
+        "random instances of these sizes show super-linear (not yet exponential) growth"
     )
     return ExperimentResult(
         experiment_id="E6",

@@ -457,29 +457,40 @@ class CongestionGame:
             return self._inc_csr @ latencies
         return self._incidence @ latencies
 
-    def post_migration_latency_matrix(self, state: StateLike) -> np.ndarray:
-        """Matrix ``M[P, Q] = l_Q(x + 1_Q - 1_P)``.
+    def migration_latencies(self, state: StateLike) -> tuple[np.ndarray, np.ndarray]:
+        """``(l_P(x), M)`` from one evaluation of the game.
 
-        ``M[P, Q]`` is the latency a player currently on ``P`` anticipates on
-        ``Q`` if it migrates alone.  Resources shared by ``P`` and ``Q`` keep
-        their current congestion, all other resources of ``Q`` gain one unit:
+        One congestion and one latency evaluation at ``x`` and ``x + 1``
+        give both the strategy latencies (bit-identical to
+        :meth:`strategy_latencies`) and the post-migration matrix
+        ``M[P, Q] = l_Q(x + 1_Q - 1_P)``, the latency a player currently on
+        ``P`` anticipates on ``Q`` if it migrates alone.  Resources shared by
+        ``P`` and ``Q`` keep their current congestion, all other resources
+        of ``Q`` gain one unit:
 
         ``M[P, Q] = l_Q^+(x) - sum_{e in P ∩ Q} (l_e(x_e + 1) - l_e(x_e))``.
 
-        The diagonal therefore equals ``l_P(x)``.
+        The diagonal of ``M`` therefore equals ``l_P(x)``.
         """
         loads = self.congestion(state)
         latency_now = self.resource_latencies(loads)
         latency_plus = self.resource_latencies(loads + 1.0)
         marginal = latency_plus - latency_now
         if self._sparse:
+            latencies = self._inc_csr @ latency_now
             joined = self._inc_csr @ latency_plus
             overlap_correction = self._overlap_correction_batch(
                 marginal[np.newaxis, :])[0]
         else:
+            latencies = self._incidence @ latency_now
             joined = self._incidence @ latency_plus  # l_Q^+ per strategy
             overlap_correction = (self._incidence * marginal) @ self._incidence.T
-        return joined[np.newaxis, :] - overlap_correction
+        return latencies, joined[np.newaxis, :] - overlap_correction
+
+    def post_migration_latency_matrix(self, state: StateLike) -> np.ndarray:
+        """Matrix ``M[P, Q] = l_Q(x + 1_Q - 1_P)`` (see
+        :meth:`migration_latencies`, which also returns ``l_P(x)``)."""
+        return self.migration_latencies(state)[1]
 
     def player_latency(self, state: StateLike, strategy: int) -> float:
         """Latency experienced by a player using ``strategy`` in ``state``."""
@@ -522,11 +533,11 @@ class CongestionGame:
             return (self._inc_csr @ latencies.T).T
         return latencies @ self._incidence.T
 
-    def post_migration_latency_matrix_batch(self, batch: BatchStateLike) -> np.ndarray:
-        """``M[r, P, Q] = l_Q(x_r + 1_Q - 1_P)``, shape ``(R, S, S)``.
-
-        The broadcasted analogue of :meth:`post_migration_latency_matrix`:
-        the marginal latency increase is evaluated once per replica and the
+    def migration_latencies_batch(self, batch: BatchStateLike
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`migration_latencies`: ``(R, S)`` strategy latencies
+        (bit-identical to :meth:`strategy_latencies_batch`) and the
+        ``(R, S, S)`` post-migration matrices from one evaluation; the
         overlap correction is a batched matrix product.
         """
         loads = self.congestion_batch(batch)
@@ -534,14 +545,24 @@ class CongestionGame:
         latency_plus = self.resource_latencies_batch(loads + 1.0)
         marginal = latency_plus - latency_now  # (R, m)
         if self._sparse:
+            latencies = (self._inc_csr @ latency_now.T).T
             joined = (self._inc_csr @ latency_plus.T).T  # (R, S)
             overlap_correction = self._overlap_correction_batch(marginal)
         else:
+            latencies = latency_now @ self._incidence.T
             joined = latency_plus @ self._incidence.T  # (R, S): l_Q^+ per replica
             overlap_correction = (
                 self._incidence[np.newaxis, :, :] * marginal[:, np.newaxis, :]
             ) @ self._incidence.T  # (R, S, S)
-        return joined[:, np.newaxis, :] - overlap_correction
+        # C order: the sparse correction comes back transposed, and every
+        # (R, S, S) pass downstream runs faster on contiguous rows.
+        return latencies, np.subtract(joined[:, np.newaxis, :],
+                                      overlap_correction, order="C")
+
+    def post_migration_latency_matrix_batch(self, batch: BatchStateLike) -> np.ndarray:
+        """``M[r, P, Q] = l_Q(x_r + 1_Q - 1_P)``, shape ``(R, S, S)`` (see
+        :meth:`migration_latencies_batch`)."""
+        return self.migration_latencies_batch(batch)[1]
 
     # ------------------------------------------------------------------
     # Aggregates

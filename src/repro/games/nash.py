@@ -41,8 +41,7 @@ __all__ = [
 
 def _improvement_matrix(game: CongestionGame, counts: np.ndarray) -> np.ndarray:
     """Gain matrix ``G[P, Q] = l_P(x) - l_Q(x + 1_Q - 1_P)`` for occupied P."""
-    latencies = game.strategy_latencies(counts)
-    post = game.post_migration_latency_matrix(counts)
+    latencies, post = game.migration_latencies(counts)
     return latencies[:, np.newaxis] - post
 
 
@@ -85,9 +84,10 @@ def best_response_step(
         better-response scheduler.
     """
     counts = game.validate_state(state)
-    gains = _improvement_matrix(game, counts)
+    latencies, post = game.migration_latencies(counts)
     occupied = counts > 0
-    gains = np.where(occupied[:, np.newaxis], gains, -np.inf)
+    gains = np.where(occupied[:, np.newaxis], latencies[:, np.newaxis] - post,
+                     -np.inf)
     if float(np.max(gains)) <= tolerance:
         return None
 
@@ -103,8 +103,7 @@ def best_response_step(
     # For the chosen origin, a *best* response moves to the destination with
     # the smallest post-migration latency (ties broken by index).
     if pivot == "max-gain":
-        post_row = game.post_migration_latency_matrix(counts)[origin]
-        destination = int(np.argmin(post_row))
+        destination = int(np.argmin(post[origin]))
     new_counts = counts.copy()
     new_counts[origin] -= 1
     new_counts[destination] += 1

@@ -72,8 +72,7 @@ class QuadraticThresholdGame(AsymmetricCongestionGame):
         semantics: player ``i`` strictly prefers ``S^in`` if and only if
         flipping node ``i`` to the IN side strictly increases the cut value.
         (The paper states the factor ``1/2`` under a slightly different
-        accounting of the pair-resource latencies; the re-derivation for our
-        semantics is documented in DESIGN.md.)
+        accounting of the pair-resource latencies.)
     offset_factor:
         Constant offset added to the private "out" resources, expressed as a
         multiple of ``W_i``.  The plain game uses 0, the lifted 3-copy game

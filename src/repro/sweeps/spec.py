@@ -47,7 +47,11 @@ __all__ = ["CODE_VERSION", "SweepError", "SweepPoint", "SweepSpec",
 #: native backend, whose migration draws come from a different random
 #: decomposition than the batch engine's — rows computed by version 2 keep
 #: distinct store keys.)
-CODE_VERSION = 3
+#: (4: a gain that beats the migration threshold by no more than a few ulps
+#: of ``l_P`` is a round-off tie, not an improvement, so protocols no longer
+#: move players towards an equal strategy — trajectories that met such a
+#: tie differ from version 3.)
+CODE_VERSION = 4
 
 
 class SweepError(ReproError):

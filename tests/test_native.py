@@ -47,8 +47,9 @@ from repro.core.virtual_agents import VirtualAgentImitationProtocol
 from repro.engines import ENGINES, engine_runtime_info, validate_engine
 from repro.errors import ConvergenceError, EngineError, NativeBackendError
 from repro.games.generators import random_linear_singleton
+from repro.games.latency import MonomialLatency
 from repro.games.network import braess_network_game
-from repro.games.singleton import make_linear_singleton
+from repro.games.singleton import SingletonCongestionGame, make_linear_singleton
 from repro.sweeps import SweepSpec
 
 
@@ -221,6 +222,33 @@ def test_native_and_batch_agree_on_quiescence():
         assert all(reason is StopReason.QUIESCENT
                    for reason in result.stop_reasons)
         assert np.array_equal(result.final_states.to_array(), initial)
+
+
+def test_round_off_tie_is_quiescent_on_every_engine():
+    """On latencies 0.3x, 0.2x, x, x the state [1, 3, 0, 0] is a Nash
+    equilibrium up to round-off: 0.2 * 3 exceeds 0.3 * 2 by one ulp.  That
+    tie is no gain, so exploration must stop QUIESCENT at round 0 on every
+    engine (both native forms when numba is installed)."""
+    game = SingletonCongestionGame(
+        4, [MonomialLatency(a, 1.0) for a in (0.3, 0.2, 1.0, 1.0)],
+        validate=False)
+    protocol = ExplorationProtocol(lambda_=1.0)
+    initial = np.array([1, 3, 0, 0])
+    loop = ConcurrentDynamics(game, protocol, rng=0).run(initial, max_rounds=50)
+    assert loop.stop_reason is StopReason.QUIESCENT
+    assert loop.rounds == 0
+    batch = np.tile(initial, (2, 1))
+    results = [
+        EnsembleDynamics(game, protocol, rng=0).run(
+            batch, max_rounds=50, backend=backend)
+        for backend in ("batch", "native")
+    ]
+    results.append(run_native_ensemble(game, protocol, batch, max_rounds=50,
+                                       rng=0, use_numba=False))
+    for result in results:
+        assert result.stop_reasons == [StopReason.QUIESCENT] * 2
+        assert result.rounds.tolist() == [0, 0]
+        assert np.array_equal(result.final_states.to_array(), batch)
 
 
 def test_generic_python_stop_condition_is_honoured():

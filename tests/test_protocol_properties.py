@@ -11,7 +11,7 @@ full rounds.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamics import step
@@ -71,6 +71,8 @@ def test_all_protocols_conserve_players_per_round(coeffs, degree, num_players, s
 
 @COMMON_SETTINGS
 @given(coeffs=coefficients, degree=degrees, num_players=player_counts, seed=seeds)
+# 0.2 * 3 against 0.3 * 2: a one-ulp "gain" that is a round-off tie.
+@example(coeffs=[0.3, 0.2, 1.0, 1.0], degree=1, num_players=5, seed=1)
 def test_no_protocol_migrates_towards_strictly_worse_strategies(coeffs, degree,
                                                                 num_players, seed):
     game = build_game(coeffs, degree, num_players)
